@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 
 /** Result of one fusion step: per-feature adaptive weights (summing to 1)
   * and the fused similarity matrix `Σ w_k · M^k`.
@@ -41,47 +40,31 @@ object AdaptiveFusion {
     val k = features.size
     if (k == 1) return Map(features.head._1 -> 1.0)
 
-    // Zero-score cells are never evidence: on sparse KGs an all-zero row
-    // and column tie pairwise and would flood the candidate set.
-    val candidates = features.map { case (name, m) =>
-      SimilarityMatrix.confidentCells(m)
-        .filter(col("score") > 0)
-        .withColumn("feature", lit(name))
-    }.reduce(_ union _).cache()
+    val candidates = features.flatMap { case (name, m) =>
+      SimilarityMatrix.positiveConfident(m).map { case (s, d, v) => (s, d, name, v) }
+    }
 
     // Conflict filter: a source entity for which the features (or a tie
     // within one feature) propose more than one distinct target loses all
     // its candidates.
-    val unconflicted = {
-      val perSrc = candidates.groupBy("src")
-        .agg(countDistinct("dst").as("ndst"))
-        .filter(col("ndst") === 1)
-        .select(col("src"))
-      candidates.join(perSrc, Seq("src"))
+    val unconflicted = candidates.groupBy(_._1).values
+      .filter(_.map(_._2).distinct.size == 1).flatten
+
+    // Shared-by-all filter; each survivor weighs 1/n for the n features
+    // that found it, or θ2 when capped. Summed in (src, dst, feature)
+    // order so the weights do not depend on the partitioning.
+    val weighted = unconflicted.groupBy(c => (c._1, c._2)).values
+      .filter(_.size < k)
+      .flatMap(cs => cs.map { case (s, d, f, v) =>
+        (s, d, f, if (thetaCap && v > theta1) theta2 else 1.0 / cs.size)
+      })
+      .toSeq.sortBy { case (s, d, f, _) => (s, d, f) }
+    val sums = features.map { case (n, _) =>
+      weighted.collect { case (_, _, f, w) if f == n => w }.sum
     }
-
-    // Shared-by-all filter + per-correspondence feature count n.
-    val withN = {
-      val perPair = unconflicted.groupBy("src", "dst")
-        .agg(countDistinct("feature").as("n"))
-        .filter(col("n") < k)
-      unconflicted.join(perPair, Seq("src", "dst"))
-    }
-
-    val capped =
-      if (thetaCap)
-        withN.withColumn("w",
-          when(col("score") > theta1, lit(theta2)).otherwise(lit(1.0) / col("n")))
-      else
-        withN.withColumn("w", lit(1.0) / col("n"))
-
-    val sums = capped.groupBy("feature").agg(sum("w").as("ws"))
-      .collect().map(r => r.getString(0) -> r.getDouble(1)).toMap
-    candidates.unpersist()
-
-    val total = sums.values.sum
+    val total = sums.sum
     if (total <= 0.0) features.map { case (n, _) => n -> 1.0 / k }.toMap
-    else features.map { case (n, _) => n -> sums.getOrElse(n, 0.0) / total }.toMap
+    else features.zip(sums).map { case ((n, _), w) => n -> w / total }.toMap
   }
 
   /** Adaptive fusion of `features` into one matrix. */

@@ -41,21 +41,20 @@ object Baselines {
   def bootstrapMatrix(spark: SparkSession, b: EaBenchmark, rounds: Int = 2,
                       dim: Int = BenchmarkGen.Dim): DataFrame = {
     require(rounds >= 1, "need at least one bootstrap round")
-    var extra: Option[DataFrame] = None
-    var m = StructuralFeature.matrix(spark, b, dim = dim, extraPairs = extra)
+    import spark.implicits._
+    var anchors = Set.empty[(Long, Long)]
+    var m = StructuralFeature.matrix(spark, b, dim = dim)
     for (_ <- 2 to rounds) {
       // Only unambiguous mutual-best pairs may become anchors: positive
       // score, and a source/target that appears in exactly one confident
       // cell (zero rows/columns on sparse KGs otherwise tie pairwise and
       // would flood the seed set with conflicting k² pairs).
-      val cand = SimilarityMatrix.confidentCells(m).filter(col("score") > 0)
-      val uniqSrc = cand.groupBy("src").count().filter(col("count") === 1).select("src")
-      val uniqDst = cand.groupBy("dst").count().filter(col("count") === 1).select("dst")
-      val confident = cand.join(uniqSrc, Seq("src")).join(uniqDst, Seq("dst"))
-        .select(col("src"), col("dst")).cache()
-      confident.count()
-      extra = Some(extra.map(_.union(confident).distinct()).getOrElse(confident))
-      m = StructuralFeature.matrix(spark, b, dim = dim, extraPairs = extra)
+      val cand = SimilarityMatrix.positiveConfident(m)
+      val srcCount = cand.groupBy(_._1).view.mapValues(_.size).toMap
+      val dstCount = cand.groupBy(_._2).view.mapValues(_.size).toMap
+      anchors ++= cand.collect { case (s, d, _) if srcCount(s) == 1 && dstCount(d) == 1 => (s, d) }
+      m = StructuralFeature.matrix(spark, b, dim = dim,
+        extraPairs = Some(anchors.toSeq.toDF("src", "dst")))
     }
     m
   }
@@ -77,17 +76,17 @@ object Baselines {
         (an ++ bn).toSeq
     }
     def unified(triples: DataFrame, names: DataFrame, dict: DataFrame,
-                anchors: DataFrame, side: Int): DataFrame = {
+                anchors: DataFrame): DataFrame = {
       val se = StructuralFeature.embed(spark, triples, names.select(col("id")),
-        anchors, side = side, dim = dim)
+        anchors, dim = dim)
       val ne = SemanticFeature.nameEmbeddings(spark, names, dict, dim)
       se.withColumnRenamed("vec", "sv")
         .join(ne.withColumnRenamed("vec", "nv"), Seq("id"))
         .select(col("id"), concatNorm(col("sv"), col("nv")).as("vec"))
     }
     val (a1, a2) = StructuralFeature.anchors(spark, b.seeds, dim)
-    val e1 = unified(b.triples1, b.names1, b.dict1, a1, side = 1)
-    val e2 = unified(b.triples2, b.names2, b.dict2, a2, side = 2)
+    val e1 = unified(b.triples1, b.names1, b.dict1, a1)
+    val e2 = unified(b.triples2, b.names2, b.dict2, a2)
     SimilarityMatrix.cosineCross(e1, e2, SimilarityMatrix.testDomain(b.test))
   }
 

@@ -75,9 +75,9 @@ object Ceaff {
                layers: Int = StructuralFeature.DefaultLayers): FeatureSet = {
     val (a1, a2) = StructuralFeature.anchors(spark, b.seeds, dim)
     val se1 = StructuralFeature.embed(spark, b.triples1, b.names1.select(col("id")),
-      a1, side = 1, dim = dim, layers = layers).cache()
+      a1, dim = dim, layers = layers).cache()
     val se2 = StructuralFeature.embed(spark, b.triples2, b.names2.select(col("id")),
-      a2, side = 2, dim = dim, layers = layers).cache()
+      a2, dim = dim, layers = layers).cache()
     val ne1 = SemanticFeature.nameEmbeddings(spark, b.names1, b.dict1, dim).cache()
     val ne2 = SemanticFeature.nameEmbeddings(spark, b.names2, b.dict2, dim).cache()
     val domain = SimilarityMatrix.testDomain(b.test)
@@ -155,9 +155,4 @@ object Ceaff {
     val fused = fr.fused.cache()
     CeaffResult(align(spark, fused, cfg), fused, fr.weights)
   }
-
-  /** Convenience: full pipeline from a benchmark. */
-  def runAll(spark: SparkSession, b: EaBenchmark,
-             cfg: CeaffConfig = CeaffConfig()): CeaffResult =
-    run(spark, features(spark, b), cfg)
 }

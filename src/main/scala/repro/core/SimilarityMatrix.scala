@@ -1,9 +1,17 @@
 package repro.core
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.text.HashVectors
+
+/** The best cell of every row and of every column of a matrix.
+  *
+  * @param rowBest src → (dst, score) of the row's best cell
+  * @param colBest dst → (src, score) of the column's best cell
+  */
+final case class LineBests(rowBest: Map[Long, (Long, Double)],
+                           colBest: Map[Long, (Long, Double)])
 
 /** Operations on similarity matrices.
   *
@@ -40,15 +48,40 @@ object SimilarityMatrix {
     test.select(col("src")).coalesce(2)
       .crossJoin(test.select(col("dst")).coalesce(2))
 
+  /** The matrix's cells as an RDD. */
+  def cellRdd(m: DataFrame): RDD[(Long, Long, Double)] = {
+    val spark = m.sparkSession
+    import spark.implicits._
+    m.select("src", "dst", "score").as[(Long, Long, Double)].rdd
+  }
+
+  /** Best cell of every row and every column, in one composite-key
+    * `reduceByKey`; only the O(#rows + #cols) winners reach the driver.
+    * The one tie rule of the pipeline: the higher score wins, then the
+    * smaller opposite-side id. Greedy matching, confident cells, anchor
+    * promotion and every DAA round all decide through this.
+    */
+  def lineBests(cells: RDD[(Long, Long, Double)]): LineBests = {
+    def better(a: (Long, Double), b: (Long, Double)): (Long, Double) =
+      if (a._2 > b._2 || (a._2 == b._2 && a._1 < b._1)) a else b
+    val bests = cells
+      .flatMap { case (s, d, v) => Iterator(((false, s), (d, v)), ((true, d), (s, v))) }
+      .reduceByKey(better)
+      .collect()
+    LineBests(
+      bests.collect { case ((false, s), best) => s -> best }.toMap,
+      bests.collect { case ((true, d), best) => d -> best }.toMap)
+  }
+
   /** Independent (non-collective) decision rule: per source entity take
     * the highest-scoring target; ties broken towards the smallest target
     * id for determinism. Returns `(src, dst)`.
     */
   def greedyMatch(m: DataFrame): DataFrame = {
-    val w = Window.partitionBy("src").orderBy(desc("score"), asc("dst"))
-    m.withColumn("rn", row_number().over(w))
-      .filter(col("rn") === 1)
-      .select(col("src"), col("dst"))
+    val spark = m.sparkSession
+    import spark.implicits._
+    lineBests(cellRdd(m)).rowBest.toSeq
+      .map { case (s, (d, _)) => (s, d) }.toDF("src", "dst")
   }
 
   /** Cells that are the maximum of both their row and their column — the
@@ -56,12 +89,24 @@ object SimilarityMatrix {
     * every maximal cell; downstream conflict filtering handles them.
     */
   def confidentCells(m: DataFrame): DataFrame = {
-    val rowMax = m.groupBy("src").agg(max("score").as("rmax"))
-    val colMax = m.groupBy("dst").agg(max("score").as("cmax"))
-    m.join(rowMax, Seq("src"))
-      .join(colMax, Seq("dst"))
-      .filter(col("score") === col("rmax") && col("score") === col("cmax"))
-      .select(col("src"), col("dst"), col("score"))
+    val spark = m.sparkSession
+    import spark.implicits._
+    val cells = cellRdd(m)
+    val lb = lineBests(cells)
+    val rowMax = lb.rowBest.map { case (s, (_, v)) => s -> v }
+    val colMax = lb.colBest.map { case (d, (_, v)) => d -> v }
+    cells.filter { case (s, d, v) => v == rowMax(s) && v == colMax(d) }
+      .toDF("src", "dst", "score")
+  }
+
+  /** Positive-score confident cells, collected: zero-score cells are
+    * never evidence, as all-zero rows and columns of sparse KGs tie
+    * pairwise and would flood any candidate set.
+    */
+  def positiveConfident(m: DataFrame): Seq[(Long, Long, Double)] = {
+    val spark = m.sparkSession
+    import spark.implicits._
+    confidentCells(m).as[(Long, Long, Double)].filter(_._3 > 0).collect().toSeq
   }
 
   /** Weighted sum `Σ wᵢ·Mᵢ` of matrices over a shared domain. Missing
@@ -75,16 +120,5 @@ object SimilarityMatrix {
     }.reduce(_ union _)
       .groupBy("src", "dst")
       .agg(sum("score").as("score"))
-  }
-
-  /** Min-max normalise scores into [0, 1] (used to put cosine features,
-    * which can be negative, on the same footing as the Levenshtein ratio
-    * before fusion).
-    */
-  def minMaxNormalize(m: DataFrame): DataFrame = {
-    val agg = m.agg(min("score").as("lo"), max("score").as("hi")).first()
-    val lo = agg.getDouble(0); val hi = agg.getDouble(1)
-    if (hi - lo < 1e-12) m.select(col("src"), col("dst"), lit(0.0).as("score"))
-    else m.select(col("src"), col("dst"), ((col("score") - lit(lo)) / lit(hi - lo)).as("score"))
   }
 }

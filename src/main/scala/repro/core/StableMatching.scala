@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.storage.StorageLevel
 import scala.collection.mutable
@@ -14,12 +13,12 @@ import scala.collection.mutable
   * (source-optimal) stable matching unique — so the distributed and the
   * reference implementation must agree exactly, which the tests check.
   *
-  * [[daa]] is the deferred acceptance algorithm as an iterative RDD
-  * computation: every round, all currently-unmatched source entities
-  * propose to the next target on their list simultaneously; each target
-  * keeps the best proposal seen so far (possibly displacing its
-  * provisional partner). This parallel variant produces the same
-  * source-optimal stable matching as the sequential Gale–Shapley.
+  * [[daa]] computes that matching in rounds on Spark: each round runs
+  * one [[SimilarityMatrix.lineBests]] over the cells of still-unmatched
+  * entities and matches every pair that is the best of its row and of
+  * its column. It stops when a round finds no such pair or matches every
+  * remaining row or column, and yields the same source-optimal stable
+  * matching as the sequential Gale–Shapley of [[referenceDaa]].
   */
 object StableMatching {
 
@@ -30,70 +29,39 @@ object StableMatching {
     * `M(u,v)`), with ties broken by ascending opposite-side id. Under
     * such aligned strict preferences the stable matching is unique and
     * can be computed by repeatedly matching every cell that is
-    * simultaneously the maximum of its row and of its column (the
-    * globally-top remaining cell always is one, so progress is
-    * guaranteed; any such mutual-best pair blocks every matching that
-    * omits it, so it belongs to every stable matching). This "parallel
+    * simultaneously the best of its row and of its column among the
+    * unmatched entities (any such mutual-best pair blocks every matching
+    * that omits it, so it belongs to every stable matching). Each round
+    * is one [[SimilarityMatrix.lineBests]] over the unmatched cells. The
+    * globally-top remaining cell is always mutual-best, so a round that
+    * finds no mutual pair has no cell left; the loop ends then, or as soon
+    * as a round matches every remaining row or column. This "parallel
     * proposal wave" formulation matches whole batches per round —
     * typically O(log n) rounds instead of the O(n²) single-proposal
     * rounds of textbook Gale–Shapley — and returns exactly the matching
     * of [[referenceDaa]], which the test suite verifies.
     *
-    * @param m similarity matrix `(src, dst, score)`; preference lists are
-    *          complete over the matrix's support
-    * @return matches `(src, dst)`; every source entity is matched when
-    *         `#src <= #dst` and lists are complete
+    * @param m similarity matrix `(src, dst, score)`; a missing cell means
+    *          the pair is unacceptable to both sides, so preference lists
+    *          may be incomplete and the matrix rectangular
+    * @return matches `(src, dst)`: the unique stable matching, one-to-one;
+    *         an entity stays unmatched only when everyone it has a cell
+    *         with prefers their own match (with complete lists, every
+    *         source is matched when `#src <= #dst`)
     */
-  def daa(spark: SparkSession, m: DataFrame, maxRounds: Int = 100000): DataFrame = {
+  def daa(spark: SparkSession, m: DataFrame): DataFrame = {
     import spark.implicits._
-    val sc = spark.sparkContext
-
-    // Strict "better" under aligned preferences: higher score, then the
-    // smaller opposite-side id (same tie-break on both sides).
-    def better(a: (Long, Double), b: (Long, Double)): (Long, Double) =
-      if (a._2 > b._2 || (a._2 == b._2 && a._1 < b._1)) a else b
-
-    val cells: RDD[(Long, Long, Double)] =
-      m.select("src", "dst", "score").as[(Long, Long, Double)].rdd
-        .persist(StorageLevel.MEMORY_AND_DISK)
-    val counts = cells.mapPartitions { it =>
-      val ss = scala.collection.mutable.Set.empty[Long]
-      val ds = scala.collection.mutable.Set.empty[Long]
-      it.foreach { case (s, d, _) => ss += s; ds += d }
-      Iterator((ss.toSet, ds.toSet))
-    }.reduce { case ((a1, a2), (b1, b2)) => (a1 ++ b1, a2 ++ b2) }
-    val target = math.min(counts._1.size, counts._2.size)
-
-    val matchedSrc = scala.collection.mutable.Set.empty[Long]
-    val matchedDst = scala.collection.mutable.Set.empty[Long]
-    val matched = scala.collection.mutable.ArrayBuffer.empty[(Long, Long)]
-    var round = 0
-
-    // One Spark job per round: a single composite-key reduce finds every
-    // row-best and col-best among unmatched cells; the (tiny) result is
-    // collected and the mutual-best pairs extracted on the driver.
-    while (matched.size < target && round < maxRounds) {
-      val bs = sc.broadcast(matchedSrc.toSet)
-      val bd = sc.broadcast(matchedDst.toSet)
-      val bests: Array[((Boolean, Long), (Long, Double))] = cells
-        .filter { case (s, d, _) => !bs.value(s) && !bd.value(d) }
-        .flatMap { case (s, d, v) =>
-          Iterator(((false, s), (d, v)), ((true, d), (s, v)))
-        }
-        .reduceByKey(better)
-        .collect()
-      val rowBest = bests.collect { case ((false, s), (d, _)) => s -> d }.toMap
-      val colBest = bests.collect { case ((true, d), (s, _)) => d -> s }.toMap
-      val mutual = rowBest.filter { case (s, d) => colBest.get(d).contains(s) }
-      require(mutual.nonEmpty,
-        s"no mutual-best cell with ${target - matched.size} pairs to go — impossible")
-      mutual.foreach { case (s, d) => matchedSrc += s; matchedDst += d }
+    val cells = SimilarityMatrix.cellRdd(m).persist(StorageLevel.MEMORY_AND_DISK)
+    val matched = mutable.Map.empty[Long, Long] // src -> dst
+    var done = false
+    while (!done) {
+      val (ms, md) = (matched.keySet.toSet, matched.values.toSet)
+      val lb = SimilarityMatrix.lineBests(cells.filter { case (s, d, _) => !ms(s) && !md(d) })
+      val mutual = lb.rowBest.collect { case (s, (d, _)) if lb.colBest(d)._1 == s => (s, d) }
       matched ++= mutual
-      bs.destroy(); bd.destroy()
-      round += 1
+      done = mutual.isEmpty || mutual.size == lb.rowBest.size || mutual.size == lb.colBest.size
     }
     cells.unpersist()
-    require(matched.size == target, s"stable matching did not converge within $maxRounds rounds")
     matched.toSeq.toDF("src", "dst")
   }
 

@@ -81,7 +81,6 @@ object StructuralFeature {
     * @param anchors  `(id, vec)` clamped entities (seed-pair members, plus
     *                 any bootstrapped pairs); vectors are re-imposed after
     *                 every round
-    * @param side     1 or 2 (kept for symmetry in call sites and logs)
     * @param initOverride optional `(id, vec)` initial vectors for
     *                 non-anchored entities — the representation-level
     *                 fusion baseline seeds propagation with name
@@ -93,8 +92,7 @@ object StructuralFeature {
     *         zero vector (cosine 0 to everything — no signal, no noise)
     */
   def embed(spark: SparkSession, triples: DataFrame, universe: DataFrame,
-            anchors: DataFrame, side: Int,
-            dim: Int = DefaultDim, layers: Int = DefaultLayers,
+            anchors: DataFrame, dim: Int = DefaultDim, layers: Int = DefaultLayers,
             initOverride: Option[DataFrame] = None): DataFrame = {
     import spark.implicits._
 
@@ -178,8 +176,8 @@ object StructuralFeature {
     val (a1, a2) = anchors(spark, pairs, dim)
     val u1 = b.names1.select(col("id"))
     val u2 = b.names2.select(col("id"))
-    val e1 = embed(spark, b.triples1, u1, a1, side = 1, dim = dim, layers = layers)
-    val e2 = embed(spark, b.triples2, u2, a2, side = 2, dim = dim, layers = layers)
+    val e1 = embed(spark, b.triples1, u1, a1, dim = dim, layers = layers)
+    val e2 = embed(spark, b.triples2, u2, a2, dim = dim, layers = layers)
     calibrate(SimilarityMatrix.cosineCross(e1, e2, SimilarityMatrix.testDomain(b.test)))
   }
 }

@@ -45,9 +45,13 @@ object Experiments {
     BenchmarkGen.generate(spark, scenario, s.nGold, s.nFringe, seedFor(scenario)).cached()
   }
 
-  /** Progress line with a wall-clock stamp (stderr, unbuffered). */
-  def progress(msg: String): Unit =
-    Console.err.println(f"[exp +${System.nanoTime() / 1e9}%.0fs] $msg")
+  /** Progress line stamped with the seconds since the JVM started
+    * (stderr, unbuffered).
+    */
+  def progress(msg: String): Unit = {
+    val up = java.lang.management.ManagementFactory.getRuntimeMXBean.getUptime / 1e3
+    Console.err.println(f"[exp +$up%.0fs] $msg")
+  }
 
   // -------------------------------------------------------------------
   // Table II — dataset statistics

@@ -105,9 +105,24 @@ class CeaffSpec extends SparkSpec with Fixtures {
         s"seed structural score $s"))
   }
 
-  test("runAll is equivalent to features+run") {
-    val direct = Ceaff.runAll(spark, mono, CeaffConfig(collective = false))
-    val viaFs = Ceaff.run(spark, fsMono, CeaffConfig(collective = false))
-    assert(matchMap(direct.matches) == matchMap(viaFs.matches))
+  test("weights and matches do not depend on the shuffle partition count") {
+    Seq(fsCross.ms, fsCross.mn, fsCross.ml).foreach(_.count())
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    val runs = try Seq(1, 8, 64).map { p =>
+      spark.conf.set(key, p.toLong)
+      val fr = Ceaff.fuse(spark, fsCross, CeaffConfig())
+      val fused = fr.fused.cache()
+      val out = (p, fr.weights, matchMap(StableMatching.daa(spark, fused)),
+        matchMap(SimilarityMatrix.greedyMatch(fused)))
+      fused.unpersist()
+      out
+    } finally spark.conf.set(key, saved)
+    val (_, w, daa, greedy) = runs.head
+    for ((p, wp, daaP, greedyP) <- runs.tail) {
+      assert(wp == w, s"weights at $p partitions: $wp vs $w")
+      assert(daaP == daa, s"DAA matches differ at $p partitions")
+      assert(greedyP == greedy, s"greedy matches differ at $p partitions")
+    }
   }
 }

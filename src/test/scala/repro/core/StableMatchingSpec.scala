@@ -110,6 +110,24 @@ class StableMatchingSpec extends SparkSpec with Fixtures {
     }
   }
 
+  test("distributed DAA equals the reference on incomplete and rectangular instances") {
+    // Source 2's only target goes to source 1, so source 2 stays unmatched.
+    val incomplete = Seq((1L, 10L, 0.9), (2L, 10L, 0.8), (1L, 11L, 0.5))
+    assert(StableMatching.referenceDaa(incomplete) == Map(1L -> 10L))
+    assert(matchMap(StableMatching.daa(spark, mat(incomplete))) == Map(1L -> 10L))
+    val rnd = new scala.util.Random(5)
+    for (trial <- 1 to 6) {
+      val (ns, nd) = (1 + rnd.nextInt(8), 1 + rnd.nextInt(8))
+      val kept = for (i <- 0 until ns; j <- 0 until nd if rnd.nextDouble() < 0.6)
+        yield (i.toLong, j.toLong)
+      val ranks = rnd.shuffle(kept.indices.toList)
+      val cellSeq = kept.zip(ranks).map { case ((i, j), r) => (i, j, (r + 1.0) / kept.size) }
+      val expected = StableMatching.referenceDaa(cellSeq)
+      val got = matchMap(StableMatching.daa(spark, mat(cellSeq)))
+      assert(got == expected, s"trial $trial ($ns x $nd, ${kept.size} cells): $got vs $expected")
+    }
+  }
+
   test("distributed DAA equals the reference under score ties") {
     val tied = Seq(
       (0L, 0L, 0.5), (0L, 1L, 0.5),

@@ -13,8 +13,7 @@ class StructuralFeatureSpec extends SparkSpec with Fixtures {
 
   test("embeddings cover every entity; norms are 1 (reached) or 0 (unreached)") {
     val (a1, _) = StructuralFeature.anchors(spark, b.seeds)
-    val e = StructuralFeature.embed(spark, b.triples1, b.names1.select(col("id")),
-      a1, side = 1)
+    val e = StructuralFeature.embed(spark, b.triples1, b.names1.select(col("id")), a1)
     assert(e.count() == b.names1.count())
     val norms = e.select("vec").as[Seq[Double]].collect()
       .map(v => math.sqrt(v.map(x => x * x).sum))
@@ -27,8 +26,7 @@ class StructuralFeatureSpec extends SparkSpec with Fixtures {
 
   test("anchored seed entities keep their anchor vector after propagation") {
     val (a1, _) = StructuralFeature.anchors(spark, b.seeds)
-    val e = StructuralFeature.embed(spark, b.triples1, b.names1.select(col("id")),
-      a1, side = 1)
+    val e = StructuralFeature.embed(spark, b.triples1, b.names1.select(col("id")), a1)
     val anchored = a1.select(col("id"), col("vec").as("anchor"))
       .join(e, Seq("id"))
       .as[(Long, Seq[Double], Seq[Double])]
@@ -101,9 +99,8 @@ class StructuralFeatureSpec extends SparkSpec with Fixtures {
       typedLit(Seq.fill(StructuralFeature.DefaultDim)(0.0)).as("vec"))
     val (a1, _) = StructuralFeature.anchors(spark, b.seeds)
     val e = StructuralFeature.embed(spark, b.triples1, b.names1.select(col("id")),
-      a1, side = 1, initOverride = Some(zeroInit))
-    val plain = StructuralFeature.embed(spark, b.triples1, b.names1.select(col("id")),
-      a1, side = 1)
+      a1, initOverride = Some(zeroInit))
+    val plain = StructuralFeature.embed(spark, b.triples1, b.names1.select(col("id")), a1)
     // All-zero override is ignored entirely -> identical to plain run.
     val diff = e.withColumnRenamed("vec", "v1")
       .join(plain.withColumnRenamed("vec", "v2"), Seq("id"))
