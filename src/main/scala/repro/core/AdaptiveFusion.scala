@@ -84,14 +84,20 @@ object AdaptiveFusion {
       SimilarityMatrix.weightedSum(spark, features.map { case (_, m) => (m, w) }))
   }
 
-  /** Fixed arbitrary-weight fusion (used by the LR baseline). Weights are
-    * normalised to sum to 1.
+  /** Fixed arbitrary-weight fusion (used by the LR baseline). Every fused
+    * feature needs a weight ≥ 0; the weights are normalised to sum to 1
+    * over the fused features, and weights of other features are ignored.
     */
   def fuseFixed(spark: SparkSession, features: Seq[(String, DataFrame)],
                 weights: Map[String, Double]): FusionResult = {
-    val total = features.map { case (n, _) => weights(n) }.sum
+    val names = features.map(_._1)
+    names.foreach { n =>
+      require(weights.contains(n), s"no fixed weight for feature '$n'")
+      require(weights(n) >= 0, s"negative fixed weight for feature '$n': ${weights(n)}")
+    }
+    val total = names.map(weights).sum
     require(total > 0, s"non-positive total weight: $weights")
-    val norm = weights.map { case (n, w) => n -> w / total }
+    val norm = names.map(n => n -> weights(n) / total).toMap
     FusionResult(norm, SimilarityMatrix.weightedSum(spark,
       features.map { case (n, m) => (m, norm(n)) }))
   }

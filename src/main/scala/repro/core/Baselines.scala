@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.col
 import repro.kg.{BenchmarkGen, EaBenchmark}
+import repro.text.HashVectors
 
 /** Proxy baselines spanning the classes of the paper's 11 competitors
   * (DESIGN.md §2). Each produces a *similarity matrix*; decisions are
@@ -69,25 +70,18 @@ object Baselines {
     */
   def repFusionMatrix(spark: SparkSession, b: EaBenchmark,
                       dim: Int = BenchmarkGen.Dim): DataFrame = {
-    val concatNorm = org.apache.spark.sql.functions.udf {
-      (a: Seq[Double], bb: Seq[Double]) =>
-        val an = repro.text.HashVectors.normalize(a.toArray)
-        val bn = repro.text.HashVectors.normalize(bb.toArray)
-        (an ++ bn).toSeq
-    }
     def unified(triples: DataFrame, names: DataFrame, dict: DataFrame,
-                anchors: DataFrame): DataFrame = {
-      val se = StructuralFeature.embed(spark, triples, names.select(col("id")),
-        anchors, dim = dim)
-      val ne = SemanticFeature.nameEmbeddings(spark, names, dict, dim)
-      se.withColumnRenamed("vec", "sv")
-        .join(ne.withColumnRenamed("vec", "nv"), Seq("id"))
-        .select(col("id"), concatNorm(col("sv"), col("nv")).as("vec"))
+                anchors: DataFrame): Map[Long, Array[Double]] = {
+      val se = SimilarityMatrix.vectors(StructuralFeature.embed(spark, triples,
+        names.select(col("id")), anchors, dim = dim))
+      val ne = SimilarityMatrix.vectors(SemanticFeature.nameEmbeddings(spark, names, dict, dim))
+      for ((id, sv) <- se; nv <- ne.get(id))
+        yield id -> (HashVectors.normalize(sv) ++ HashVectors.normalize(nv))
     }
     val (a1, a2) = StructuralFeature.anchors(spark, b.seeds, dim)
-    val e1 = unified(b.triples1, b.names1, b.dict1, a1)
-    val e2 = unified(b.triples2, b.names2, b.dict2, a2)
-    SimilarityMatrix.cosineCross(e1, e2, SimilarityMatrix.testDomain(b.test))
+    SimilarityMatrix.scorePairs(SimilarityMatrix.testDomain(b.test),
+      unified(b.triples1, b.names1, b.dict1, a1),
+      unified(b.triples2, b.names2, b.dict2, a2))(HashVectors.cosine)
   }
 
   /** Similarity matrix for a named proxy baseline. */

@@ -3,7 +3,6 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.col
 import repro.kg.{BenchmarkGen, EaBenchmark}
-import repro.text.Levenshtein
 
 /** Which parts of CEAFF to run — each flag corresponds to one ablation
   * row of the paper's Table V.
@@ -83,28 +82,25 @@ object Ceaff {
     val domain = SimilarityMatrix.testDomain(b.test)
     FeatureSet(
       structEmb1 = se1, structEmb2 = se2, semEmb1 = ne1, semEmb2 = ne2,
-      ms = StructuralFeature.calibrate(
-        SimilarityMatrix.cosineCross(se1, se2, domain)).cache(),
+      ms = StructuralFeature.similarity(se1, se2, domain).cache(),
       mn = SimilarityMatrix.cosineCross(ne1, ne2, domain).cache(),
-      ml = StringFeature.matrix(spark, b).cache())
+      ml = StringFeature.similarity(b, domain).cache())
   }
 
   /** Score the three features on an arbitrary `(src, dst)` pair domain —
     * used by the LR baseline to build its training set over seed pairs.
+    * Each score is the feature's own definition, as in [[features]]; the
+    * three are joined on `(src, dst)`, so a pair listed k times in
+    * `domain` yields k³ rows.
     */
   def scoresOn(spark: SparkSession, b: EaBenchmark, fs: FeatureSet,
                domain: DataFrame): DataFrame = {
     val d = domain.select(col("src"), col("dst"))
-    val s = StructuralFeature.calibrate(
-        SimilarityMatrix.cosineCross(fs.structEmb1, fs.structEmb2, d))
-      .withColumnRenamed("score", Struct)
-    val n = SimilarityMatrix.cosineCross(fs.semEmb1, fs.semEmb2, d)
-      .withColumnRenamed("score", Sem)
-    val l = d
-      .join(b.names1.select(col("id").as("src"), col("name").as("n1")), Seq("src"))
-      .join(b.names2.select(col("id").as("dst"), col("name").as("n2")), Seq("dst"))
-      .select(col("src"), col("dst"), Levenshtein.ratioUdf(col("n1"), col("n2")).as(Str))
-    s.join(n, Seq("src", "dst")).join(l, Seq("src", "dst"))
+    Seq(Struct -> StructuralFeature.similarity(fs.structEmb1, fs.structEmb2, d),
+        Sem -> SimilarityMatrix.cosineCross(fs.semEmb1, fs.semEmb2, d),
+        Str -> StringFeature.similarity(b, d))
+      .map { case (name, m) => m.withColumnRenamed("score", name) }
+      .reduce(_.join(_, Seq("src", "dst")))
   }
 
   /** Fuse the configured features.

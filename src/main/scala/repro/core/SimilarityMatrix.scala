@@ -23,30 +23,57 @@ final case class LineBests(rowBest: Map[Long, (Long, Double)],
   */
 object SimilarityMatrix {
 
+  /** Scores every `(src, dst)` pair of `domain` as `f(left(src),
+    * right(dst))`; a pair whose value is missing on either side scores 0.
+    * The only place where per-entity values meet pairs: both maps
+    * (O(#entities)) are broadcast and each cell is one lookup per side,
+    * so no pair row is shuffled. The score is a projection over the
+    * domain's own `src`/`dst` columns, so the result keeps the domain's
+    * partitioning.
+    */
+  def scorePairs[A, B](domain: DataFrame, left: Map[Long, A], right: Map[Long, B])
+                      (f: (A, B) => Double): DataFrame = {
+    val sc = domain.sparkSession.sparkContext
+    val (l, r) = (sc.broadcast(left), sc.broadcast(right))
+    val score = udf { (s: Long, d: Long) =>
+      (l.value.get(s), r.value.get(d)) match {
+        case (Some(a), Some(b)) => f(a, b)
+        case _                  => 0.0
+      }
+    }
+    domain.select(col("src"), col("dst"), score(col("src"), col("dst")).as("score"))
+  }
+
+  /** An embedding table `(id, vec)` collected as id → vector. */
+  def vectors(emb: DataFrame): Map[Long, Array[Double]] = {
+    val spark = emb.sparkSession
+    import spark.implicits._
+    emb.select(col("id"), col("vec")).as[(Long, Seq[Double])].collect()
+      .map { case (id, v) => id -> v.toArray }.toMap
+  }
+
   /** Cosine-similarity matrix between two embedding tables `(id, vec)`
     * over the given `domain` `(src, dst)` universe (typically
     * testSrc × testDst). Pairs whose either side lacks an embedding (or
     * has a zero vector) score 0.
     */
-  def cosineCross(emb1: DataFrame, emb2: DataFrame, domain: DataFrame): DataFrame = {
-    val cos = udf { (a: Seq[Double], b: Seq[Double]) =>
-      if (a == null || b == null) 0.0
-      else HashVectors.cosine(a.toArray, b.toArray)
-    }
-    domain.select(col("src"), col("dst"))
-      .join(emb1.select(col("id").as("src"), col("vec").as("v1")), Seq("src"), "left")
-      .join(emb2.select(col("id").as("dst"), col("vec").as("v2")), Seq("dst"), "left")
-      .select(col("src"), col("dst"), cos(col("v1"), col("v2")).as("score"))
-  }
+  def cosineCross(emb1: DataFrame, emb2: DataFrame, domain: DataFrame): DataFrame =
+    scorePairs(domain, vectors(emb1), vectors(emb2))(HashVectors.cosine)
 
-  /** The full test domain: cross join of test source ids × test target
-    * ids (paper: the matrix spans all test entities on both axes).
-    * Each side is coalesced first — a k×k-partition cartesian product of
-    * two small id lists would otherwise explode into k² near-empty tasks.
+  /** The full test domain: test source ids × test target ids (paper: the
+    * matrix spans all test entities on both axes). The target ids are
+    * hash-partitioned by `dst` once and the source ids are broadcast, so
+    * every matrix scored over this domain is `dst`-partitioned by
+    * construction and [[weightedSum]] of such matrices shuffles nothing.
     */
-  def testDomain(test: DataFrame): DataFrame =
-    test.select(col("src")).coalesce(2)
-      .crossJoin(test.select(col("dst")).coalesce(2))
+  def testDomain(test: DataFrame): DataFrame = {
+    // An explicit count: adaptive execution may coalesce a by-column
+    // repartition of so few rows, which would leave the cells unspread.
+    val parts = test.sparkSession.conf.get("spark.sql.shuffle.partitions").toInt
+    test.select(col("dst")).repartition(parts, col("dst"))
+      .crossJoin(broadcast(test.select(col("src"))))
+      .select(col("src"), col("dst"))
+  }
 
   /** The matrix's cells as an RDD. */
   def cellRdd(m: DataFrame): RDD[(Long, Long, Double)] = {

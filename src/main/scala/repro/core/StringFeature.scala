@@ -6,19 +6,20 @@ import repro.kg.EaBenchmark
 import repro.text.Levenshtein
 
 /** String feature `M^l`: Levenshtein ratio between entity names (paper
-  * §IV-C), with substitution cost 2 (`lev*`), computed as a DataFrame
-  * cross-join over the test domain.
+  * §IV-C), with substitution cost 2 (`lev*`), scored over the test domain.
   */
 object StringFeature {
 
-  /** Full `M^l` for a benchmark. */
-  def matrix(spark: SparkSession, b: EaBenchmark): DataFrame = {
-    val n1 = b.names1.select(col("id").as("src"), col("name").as("name1"))
-    val n2 = b.names2.select(col("id").as("dst"), col("name").as("name2"))
-    SimilarityMatrix.testDomain(b.test)
-      .join(n1, Seq("src"))
-      .join(n2, Seq("dst"))
-      .select(col("src"), col("dst"),
-        Levenshtein.ratioUdf(col("name1"), col("name2")).as("score"))
+  /** `M^l` over `domain`: the Levenshtein ratio of the two entities' names. */
+  def similarity(b: EaBenchmark, domain: DataFrame): DataFrame = {
+    val spark = domain.sparkSession
+    import spark.implicits._
+    def names(df: DataFrame): Map[Long, String] =
+      df.select(col("id"), col("name")).as[(Long, String)].collect().toMap
+    SimilarityMatrix.scorePairs(domain, names(b.names1), names(b.names2))(Levenshtein.ratio)
   }
+
+  /** Full `M^l` for a benchmark. */
+  def matrix(spark: SparkSession, b: EaBenchmark): DataFrame =
+    similarity(b, SimilarityMatrix.testDomain(b.test))
 }

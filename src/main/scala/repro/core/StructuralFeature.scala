@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.kg.EaBenchmark
+import repro.kg.{EaBenchmark, NameModel}
 import repro.text.HashVectors
 
 /** Structural feature `M^s`: seed-anchored GCN propagation.
@@ -21,7 +21,7 @@ import repro.text.HashVectors
   * and with no cross-KG initialisation noise (DESIGN.md §2).
   *
   * Implemented as an iterative RDD algorithm: one `join` + `reduceByKey`
-  * per propagation round.
+  * per propagation round, anchors broadcast.
   */
 object StructuralFeature {
 
@@ -46,14 +46,13 @@ object StructuralFeature {
     */
   val JitterAmp = 1e-4
 
-  /** Calibrate a raw structural cosine matrix: rescale below θ1 and break
-    * exact ties deterministically in (src, dst).
+  /** `M^s` over `domain`: the cosine of two structural embedding tables,
+    * calibrated — rescaled below θ1, with exact ties broken
+    * deterministically in (src, dst).
     */
-  def calibrate(m: DataFrame): DataFrame = {
-    val jitter = org.apache.spark.sql.functions.udf { (s: Long, d: Long) =>
-      repro.kg.NameModel.frac(s"jitter:$s:$d")
-    }
-    m.select(col("src"), col("dst"),
+  def similarity(emb1: DataFrame, emb2: DataFrame, domain: DataFrame): DataFrame = {
+    val jitter = udf { (s: Long, d: Long) => NameModel.frac(s"jitter:$s:$d") }
+    SimilarityMatrix.cosineCross(emb1, emb2, domain).select(col("src"), col("dst"),
       (col("score") * CosineScale + jitter(col("src"), col("dst")) * JitterAmp)
         .as("score"))
   }
@@ -73,51 +72,32 @@ object StructuralFeature {
         (lit(1.0) / sqrt(col("d") * col("dj"))).as("w"))
   }
 
-  /** Propagate `layers` rounds from anchored initial vectors.
+  /** Propagate `layers` rounds from anchored initial vectors. Every
+    * entity has a self-loop, so every entity receives a message each round.
     *
     * @param triples  one KG's triples `(src, rel, dst)`
-    * @param universe all entity ids of this KG `(id)` — includes isolated
-    *                 entities, which keep their initial vectors
+    * @param universe all entity ids of this KG `(id)`, including every
+    *                 entity of `triples` and isolated entities
     * @param anchors  `(id, vec)` clamped entities (seed-pair members, plus
     *                 any bootstrapped pairs); vectors are re-imposed after
     *                 every round
-    * @param initOverride optional `(id, vec)` initial vectors for
-    *                 non-anchored entities — the representation-level
-    *                 fusion baseline seeds propagation with name
-    *                 embeddings here; entities absent from the override
-    *                 (or with an all-zero vector) fall back to the
-    *                 default zero init
     * @return `(id, vec)` L2-normalised structural embeddings; entities
     *         that no anchor reaches within `layers` hops stay at the
     *         zero vector (cosine 0 to everything — no signal, no noise)
     */
   def embed(spark: SparkSession, triples: DataFrame, universe: DataFrame,
-            anchors: DataFrame, dim: Int = DefaultDim, layers: Int = DefaultLayers,
-            initOverride: Option[DataFrame] = None): DataFrame = {
+            anchors: DataFrame, dim: Int = DefaultDim, layers: Int = DefaultLayers): DataFrame = {
     import spark.implicits._
 
-    val anchorRdd: RDD[(Long, Array[Double])] =
-      anchors.select(col("id"), col("vec")).as[(Long, Seq[Double])].rdd
-        .mapValues(_.toArray)
-        // Defensive: one anchor per entity — duplicate ids would multiply
-        // rows through every join below.
-        .reduceByKey((a, _) => a)
-    val overrideRdd: RDD[(Long, Array[Double])] = initOverride match {
-      case Some(df) =>
-        df.select(col("id"), col("vec")).as[(Long, Seq[Double])].rdd
-          .mapValues(_.toArray).filter(kv => kv._2.exists(_ != 0.0))
-      case None => spark.sparkContext.emptyRDD
-    }
+    // Broadcast (one vector per entity): seeding and re-clamping are
+    // lookups, not joins.
+    val anchorVec = spark.sparkContext.broadcast(SimilarityMatrix.vectors(anchors))
     // Non-anchored entities start at zero: embeddings are then pure
     // mixtures of anchor directions, with no cross-KG random noise —
     // the label-propagation analogue of the paper's trained alignment.
     val init: RDD[(Long, Array[Double])] =
       universe.select(col("id")).as[Long].rdd
-        .map(id => id -> new Array[Double](dim))
-        .leftOuterJoin(overrideRdd)
-        .mapValues { case (zero, ov) => ov.map(HashVectors.normalize).getOrElse(zero) }
-        .leftOuterJoin(anchorRdd)
-        .mapValues { case (base, anch) => anch.getOrElse(base) }
+        .map(id => id -> anchorVec.value.getOrElse(id, new Array[Double](dim)))
 
     // Edges keyed by message source node; messages flow i -> j.
     val edges: RDD[(Long, (Long, Double))] =
@@ -127,15 +107,10 @@ object StructuralFeature {
 
     var emb = init.cache()
     for (_ <- 1 to layers) {
-      val propagated = edges.join(emb)
+      val next = edges.join(emb)
         .map { case (_, ((j, w), v)) => (j, HashVectors.scale(v, w)) }
         .reduceByKey(HashVectors.add)
-        .mapValues(HashVectors.normalize)
-      // Isolated entities receive no messages; keep their current vector.
-      val next = emb.leftOuterJoin(propagated)
-        .mapValues { case (old, p) => p.getOrElse(old) }
-        .leftOuterJoin(anchorRdd) // re-clamp anchors
-        .mapValues { case (v, anch) => anch.getOrElse(v) }
+        .map { case (j, v) => j -> anchorVec.value.getOrElse(j, HashVectors.normalize(v)) }
         .cache()
       next.count() // materialise before unpersisting the previous round
       emb.unpersist()
@@ -178,6 +153,6 @@ object StructuralFeature {
     val u2 = b.names2.select(col("id"))
     val e1 = embed(spark, b.triples1, u1, a1, dim = dim, layers = layers)
     val e2 = embed(spark, b.triples2, u2, a2, dim = dim, layers = layers)
-    calibrate(SimilarityMatrix.cosineCross(e1, e2, SimilarityMatrix.testDomain(b.test)))
+    similarity(e1, e2, SimilarityMatrix.testDomain(b.test))
   }
 }

@@ -56,7 +56,8 @@ final case class EaBenchmark(
 object BenchmarkGen {
 
   /** Word-embedding dimensionality (paper uses 300-d fastText; 32 is
-    * ample for the synthetic concept space and keeps cross-joins cheap).
+    * ample for the synthetic concept space and keeps each cell's cosine
+    * cheap).
     */
   val Dim = 32
 

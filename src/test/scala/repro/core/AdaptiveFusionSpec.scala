@@ -111,6 +111,15 @@ class AdaptiveFusionSpec extends SparkSpec with Fixtures {
     intercept[IllegalArgumentException] {
       AdaptiveFusion.fuseFixed(spark, Seq("ms" -> ms), Map("ms" -> 0.0))
     }
+    val missing = intercept[IllegalArgumentException] {
+      AdaptiveFusion.fuseFixed(spark, Seq("ms" -> ms, "mn" -> mn), Map("ms" -> 1.0))
+    }
+    assert(missing.getMessage.contains("'mn'"), missing.getMessage)
+    val negative = intercept[IllegalArgumentException] {
+      AdaptiveFusion.fuseFixed(spark, Seq("ms" -> ms, "mn" -> mn),
+        Map("ms" -> 2.0, "mn" -> -1.0))
+    }
+    assert(negative.getMessage.contains("'mn'"), negative.getMessage)
   }
 
   test("empty feature list is rejected") {

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.kg.{BenchmarkGen, Scenario}
 import repro.{Fixtures, SparkSpec}
@@ -84,6 +85,13 @@ class CeaffSpec extends SparkSpec with Fixtures {
     assert(r.weights == w)
   }
 
+  test("fixed weights are normalised over the enabled features only") {
+    val w = Map(Ceaff.Struct -> 0.2, Ceaff.Sem -> 0.3, Ceaff.Str -> 0.5)
+    val r = Ceaff.fuse(spark, fsCross, CeaffConfig(useString = false, fixedWeights = Some(w)))
+    assert(r.weights.keySet == Set(Ceaff.Struct, Ceaff.Sem))
+    assert(math.abs(r.weights.values.sum - 1.0) < 1e-9, r.weights.toString)
+  }
+
   test("the fused matrix is a conical combination: fused <= sum of parts") {
     val fused = Ceaff.fuse(spark, fsCross, CeaffConfig()).fused
     val bound = fused.filter(col("score") > 1.0 + 1e-9).count()
@@ -103,6 +111,16 @@ class CeaffSpec extends SparkSpec with Fixtures {
     structs.foreach(s =>
       assert(math.abs(s - StructuralFeature.CosineScale) < 2 * StructuralFeature.JitterAmp,
         s"seed structural score $s"))
+  }
+
+  test("scoresOn over the test domain equals the feature matrices bit for bit") {
+    val scored = Ceaff.scoresOn(spark, cross, fsCross, SimilarityMatrix.testDomain(cross.test))
+    def bits(m: DataFrame) =
+      cells(m).map { case (s, d, v) => (s, d, java.lang.Double.doubleToLongBits(v)) }.toSet
+    for ((name, m) <- Seq(Ceaff.Struct -> fsCross.ms, Ceaff.Sem -> fsCross.mn,
+                          Ceaff.Str -> fsCross.ml))
+      assert(bits(scored.select(col("src"), col("dst"), col(name).as("score"))) == bits(m),
+        s"scoresOn's $name differs from the feature matrix")
   }
 
   test("weights and matches do not depend on the shuffle partition count") {

@@ -1,9 +1,11 @@
 package repro.core
 
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
 import org.apache.spark.sql.functions._
 import repro.{Fixtures, Oracle, SparkSpec}
 
-class SimilarityMatrixSpec extends SparkSpec with Fixtures {
+class SimilarityMatrixSpec extends SparkSpec with Fixtures with AdaptiveSparkPlanHelper {
   import spark.implicits._
 
   private val m = denseMat(Seq(
@@ -129,5 +131,19 @@ class SimilarityMatrixSpec extends SparkSpec with Fixtures {
     val test = Seq((0L, 0L), (1L, 1L), (2L, 2L)).toDF("src", "dst")
     assert(SimilarityMatrix.testDomain(test).count() == 9)
     assert(SimilarityMatrix.testDomain(test).distinct().count() == 9)
+  }
+
+  test("weightedSum of cached matrices over one testDomain shuffles nothing") {
+    val test = (0L until 6L).map(i => (i, i + 100L)).toDF("src", "dst")
+    val domain = SimilarityMatrix.testDomain(test)
+    val left = (0L until 6L).map(i => i -> i.toDouble).toMap
+    val right = (100L until 106L).map(i => i -> (i % 7).toDouble).toMap
+    val a = SimilarityMatrix.scorePairs(domain, left, right)(_ * _).cache()
+    val b = SimilarityMatrix.scorePairs(domain, left, right)(_ + _).cache()
+    val fused = SimilarityMatrix.weightedSum(spark, Seq(a -> 0.5, b -> 0.5))
+    assert(fused.collect().length == 36)
+    val shuffles = collect(fused.queryExecution.executedPlan) { case e: ShuffleExchangeLike => e }
+    assert(shuffles.isEmpty, fused.queryExecution.executedPlan.toString)
+    a.unpersist(); b.unpersist()
   }
 }
